@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** Shared spark-submit plumbing for the per-figure entrypoints. */
+/** Shared spark-submit plumbing for the figure jobs. */
 object JobSession {
   def make(name: String): SparkSession =
     SparkSession.builder
@@ -14,58 +14,31 @@ object JobSession {
       .getOrCreate()
 }
 
-/** `spark-submit --class repro.jobs.Fig2KCenterJob` — reproduces Fig. 2. */
-object Fig2KCenterJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("fig2-kcenter")
-    try println(Fig2KCenter.render(Fig2KCenter.run(spark, ExpConfig.bench)))
-    finally spark.stop()
-  }
-}
-
-/** `spark-submit --class repro.jobs.Fig3StreamJob` — reproduces Fig. 3
-  * (sequential streaming simulation; Spark only hosts the JVM).
+/** `spark-submit --class repro.jobs.Main <jar> <fig2|…|fig8>` — reproduces one
+  * figure at bench scale and prints its table. Figs. 3, 5 and 8 are
+  * sequential and need no SparkSession (Spark only hosts the JVM).
   */
-object Fig3StreamJob {
-  def main(args: Array[String]): Unit =
-    println(Fig3Stream.render(Fig3Stream.run(ExpConfig.bench)))
-}
-
-/** `spark-submit --class repro.jobs.Fig4MROutliersJob` — reproduces Fig. 4. */
-object Fig4MROutliersJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("fig4-mr-outliers")
-    try println(Fig4MROutliers.render(Fig4MROutliers.run(spark, ExpConfig.bench)))
-    finally spark.stop()
+object Main {
+  private def withSpark(name: String)(fig: SparkSession => String): String = {
+    val spark = JobSession.make(name)
+    try fig(spark) finally spark.stop()
   }
-}
 
-/** `spark-submit --class repro.jobs.Fig5StreamOutliersJob` — reproduces Fig. 5. */
-object Fig5StreamOutliersJob {
+  private val figures: Seq[(String, () => String)] = Seq(
+    "fig2" -> (() => withSpark("fig2-kcenter")(s => Fig2KCenter.render(Fig2KCenter.run(s, ExpConfig.bench)))),
+    "fig3" -> (() => Fig3Stream.render(Fig3Stream.run(ExpConfig.bench))),
+    "fig4" -> (() => withSpark("fig4-mr-outliers")(s => Fig4MROutliers.render(Fig4MROutliers.run(s, ExpConfig.bench)))),
+    "fig5" -> (() => Fig5StreamOutliers.render(Fig5StreamOutliers.run(ExpConfig.bench))),
+    "fig6" -> (() => withSpark("fig6-scale")(s => Fig6Scale.render(Fig6Scale.run(s, ExpConfig.bench)))),
+    "fig7" -> (() => withSpark("fig7-speedup")(s => Fig7Speedup.render(Fig7Speedup.run(s, ExpConfig.bench)))),
+    "fig8" -> (() => Fig8Sequential.render(Fig8Sequential.run(ExpConfig.bench))),
+  )
+
   def main(args: Array[String]): Unit =
-    println(Fig5StreamOutliers.render(Fig5StreamOutliers.run(ExpConfig.bench)))
-}
-
-/** `spark-submit --class repro.jobs.Fig6ScaleJob` — reproduces Fig. 6. */
-object Fig6ScaleJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("fig6-scale")
-    try println(Fig6Scale.render(Fig6Scale.run(spark, ExpConfig.bench)))
-    finally spark.stop()
-  }
-}
-
-/** `spark-submit --class repro.jobs.Fig7SpeedupJob` — reproduces Fig. 7. */
-object Fig7SpeedupJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("fig7-speedup")
-    try println(Fig7Speedup.render(Fig7Speedup.run(spark, ExpConfig.bench)))
-    finally spark.stop()
-  }
-}
-
-/** `spark-submit --class repro.jobs.Fig8SequentialJob` — reproduces Fig. 8. */
-object Fig8SequentialJob {
-  def main(args: Array[String]): Unit =
-    println(Fig8Sequential.render(Fig8Sequential.run(ExpConfig.bench)))
+    figures.toMap.get(args.headOption.getOrElse("")) match {
+      case Some(fig) if args.length == 1 => println(fig())
+      case _ =>
+        System.err.println(s"usage: repro.jobs.Main <${figures.map(_._1).mkString("|")}>")
+        sys.exit(2)
+    }
 }

@@ -15,7 +15,9 @@ object GMM {
 
   /** Full trace of an incremental run: the selected center indices (into the
     * input array) in selection order, and `radiusAfter(j)` = r_{T^{j+1}}(S),
-    * the radius after the first j+1 centers. Radii are non-increasing.
+    * the radius after the first j+1 centers. Radii are non-increasing. The
+    * centers are distinct points, so |T| ≤ τ and |T| ≤ the number of
+    * distinct input points: the run stops once the radius reaches 0.
     */
   final case class Trace(points: Array[Array[Double]], centerIdx: Array[Int], radiusAfter: Array[Double]) {
     def centers: Array[Array[Double]] = centerIdx.map(points)
@@ -25,7 +27,7 @@ object GMM {
   }
 
   /** Run GMM until `stop(iterationsDone, radiusSoFar)` returns true or the
-    * input is exhausted. The first center is `points(firstIdx)` — the paper
+    * radius reaches 0. The first center is `points(firstIdx)` — the paper
     * picks it arbitrarily; benches pass a seed-derived index so that runs are
     * reproducible yet shuffle-sensitive, as observed in Sec. 5.4.
     */
@@ -53,12 +55,14 @@ object GMM {
       val r = math.sqrt(worst)
       radBuf += r
       next = worstIdx
-      continue = idxBuf.length < n && !stop(idxBuf.length, r)
+      // At r = 0 every point coincides with a center: the farthest point would
+      // be a chosen one again. (r > 0 also implies an unchosen point remains.)
+      continue = r > 0 && !stop(idxBuf.length, r)
     }
     Trace(points, idxBuf.toArray, radBuf.toArray)
   }
 
-  /** Plain GMM: k centers (or all points if |S| < k). */
+  /** Plain GMM: k centers (fewer if S has fewer than k distinct points). */
   def run(points: Array[Array[Double]], k: Int, firstIdx: Int = 0): Array[Array[Double]] =
     runWhile(points, firstIdx)((done, _) => done >= k).centers
 
@@ -78,6 +82,19 @@ object GMM {
   /** Fixed-size coreset (the experiments fix τ = μ·(k[+z]) instead of ε). */
   def coresetBySize(points: Array[Array[Double]], tau: Int, firstIdx: Int = 0): Trace =
     runWhile(points, firstIdx)((done, _) => done >= tau)
+
+  /** The round-1 kernel of every coreset pipeline: GMM on one partition,
+    * stopped by `spec`. The first center is `points(floorMod(seed, n))`, so
+    * reruns are reproducible. An empty partition gives an empty trace.
+    */
+  def coreset(points: Array[Array[Double]], spec: CoresetSpec, seed: Long): Trace = {
+    if (points.isEmpty) return Trace(points, Array.emptyIntArray, Array.emptyDoubleArray)
+    val firstIdx = math.floorMod(seed, points.length.toLong).toInt
+    spec match {
+      case CoresetSpec.FixedSize(tau)        => coresetBySize(points, tau, firstIdx)
+      case CoresetSpec.Precision(eps, kBase) => coresetByEpsilon(points, kBase, eps, firstIdx)
+    }
+  }
 
   /** Attach proxy weights to a coreset: w_t = |{s : p(s) = t}| where p maps
     * each input point to its closest coreset point (Sec. 3.2). Weights sum

@@ -105,10 +105,4 @@ object OutliersCluster {
     val uncovered = Array.tabulate(uncLen)(j => WeightedPoint(vecs(unc(j)), ws(unc(j))))
     Result(centers.toArray, uncovered, uncovered.map(_.weight).sum)
   }
-
-  /** Just the uncovered weight for a radius guess — the feasibility probe the
-    * radius search uses (feasible iff ≤ z).
-    */
-  def uncoveredWeight(t: Array[WeightedPoint], k: Int, r: Double, hatEps: Double): Long =
-    run(t, k, r, hatEps).uncoveredWeight
 }

@@ -8,7 +8,7 @@ package repro.core
   * Running time O(|S|·|T| + k·|T|²·log|T|) with |T| = (k+z)(24/ε)^D, versus
   * the O(k·|S|²·log|S|) of CharikarEtAl — this is what Fig. 8 measures.
   * The experiments fix the coreset size to τ = μ(k+z) instead of driving it
-  * by ε̂ (μ = 1 reproduces MalkomesEtAl [26]).
+  * by ε̂ (μ = 1 reproduces MalkomesEtAl [26]); both are a [[CoresetSpec]].
   */
 object SeqCoresetOutliers {
 
@@ -20,13 +20,14 @@ object SeqCoresetOutliers {
       searchMillis: Long,
   )
 
-  /** Fixed-size variant (benches): coreset of exactly τ = μ(k+z) points. */
-  def runFixedSize(points: Array[Array[Double]], k: Int, z: Int, tau: Int,
-                   hatEps: Double = 0.05, seed: Long = 42L): Result = {
+  /** One coreset of the whole input, stopped by `spec` (the theory's
+    * `Precision(hatEps, k + z)` or the experiments' `FixedSize(μ(k+z))`),
+    * weighed, then the radius search on it.
+    */
+  def run(points: Array[Array[Double]], k: Int, z: Int, spec: CoresetSpec,
+          hatEps: Double = 0.05, seed: Long = 42L): Result = {
     val t0 = System.nanoTime()
-    val firstIdx = math.floorMod(seed, points.length.toLong).toInt
-    val trace = GMM.coresetBySize(points, tau, firstIdx)
-    val weighted = GMM.weigh(points, trace.centers)
+    val weighted = GMM.weigh(points, GMM.coreset(points, spec, seed).centers)
     val t1 = System.nanoTime()
     val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()
@@ -34,17 +35,8 @@ object SeqCoresetOutliers {
            (t1 - t0) / 1000000, (t2 - t1) / 1000000)
   }
 
-  /** ε-driven variant (theory): stopping rule of Sec. 3.2 with base k+z. */
-  def runByEpsilon(points: Array[Array[Double]], k: Int, z: Int,
-                   hatEps: Double, seed: Long = 42L): Result = {
-    val t0 = System.nanoTime()
-    val firstIdx = math.floorMod(seed, points.length.toLong).toInt
-    val trace = GMM.coresetByEpsilon(points, k + z, hatEps, firstIdx)
-    val weighted = GMM.weigh(points, trace.centers)
-    val t1 = System.nanoTime()
-    val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
-    val t2 = System.nanoTime()
-    Result(sr.clustering.centers, sr.radius, weighted.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000)
-  }
+  /** Fixed-size variant (benches): coreset of τ = μ(k+z) points. */
+  def runFixedSize(points: Array[Array[Double]], k: Int, z: Int, tau: Int,
+                   hatEps: Double = 0.05, seed: Long = 42L): Result =
+    run(points, k, z, CoresetSpec.FixedSize(tau), hatEps, seed)
 }

@@ -1,6 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.core.CoresetSpec
 import repro.data.Datasets
 import repro.eval.Evaluate
 import repro.mr.MRKCenter
@@ -27,21 +28,14 @@ object Fig2KCenter {
         for (ell <- ells; mu <- mus; rep <- 1 to cfg.reps) yield {
           val seed = cfg.seed + 31L * rep
           val (res, ms) = Evaluate.timed(
-            MRKCenter.run(ds, spec.k, ell, MRKCenter.FixedSize(mu * spec.k), seed = seed))
-          val radius = Evaluate.radiusDS(ds, res.centers)
-          (ell, mu, res.coresetUnionSize, radius, ms)
+            MRKCenter.run(ds, spec.k, ell, CoresetSpec.FixedSize(mu * spec.k), seed = seed))
+          Sweep.Rep((ell, mu), res.coresetUnionSize, Evaluate.radiusDS(ds, res.centers), ms.toDouble)
         }
       ds.unpersist()
       spec -> rows
     }
-    raw.flatMap { case (spec, rows) =>
-      val best = rows.map(_._4).min
-      // Average the reps per (ell, mu) cell, as the paper averages runs.
-      rows.groupBy(r => (r._1, r._2)).toSeq.sortBy(_._1).map { case ((ell, mu), rs) =>
-        val rad = rs.map(_._4).sum / rs.size
-        Row(spec.name, spec.k, ell, mu, rs.head._3, rad, rad / best,
-            rs.map(_._5).sum / rs.size)
-      }
+    Sweep.cells(raw)(identity).map { c =>
+      Row(c.spec.name, c.spec.k, c.key._1, c.key._2, c.size, c.radius, c.ratio, c.cost.toLong)
     }
   }
 

@@ -36,19 +36,14 @@ object Fig4MROutliers {
             case "randomized" =>
               MROutliers.runRandomized(ds, k, z, Ell, mu, seed = seed)
           }
-          val radius = Evaluate.radiusWithOutliersDS(ds, res.centers, z)
-          (algo, mu, res.coresetUnionSize, radius, res.round1Millis + res.round2Millis)
+          Sweep.Rep((algo, mu), res.coresetUnionSize, Evaluate.radiusWithOutliersDS(ds, res.centers, z),
+                    (res.round1Millis + res.round2Millis).toDouble)
         }
       ds.unpersist()
       spec -> rows
     }
-    raw.flatMap { case (spec, rows) =>
-      val best = rows.map(_._4).min
-      rows.groupBy(r => (r._1, r._2)).toSeq.sortBy(x => (x._1._2, x._1._1)).map {
-        case ((algo, mu), rs) =>
-          val rad = rs.map(_._4).sum / rs.size
-          Row(spec.name, algo, mu, rs.head._3, rad, rad / best, rs.map(_._5).sum / rs.size)
-      }
+    Sweep.cells(raw) { case (algo, mu) => (mu, algo) }.map { c =>
+      Row(c.spec.name, c.key._1, c.key._2, c.size, c.radius, c.ratio, c.cost.toLong)
     }
   }
 

@@ -1,6 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.core.CoresetSpec
 import repro.data.Datasets
 import repro.mr.{MROutliers, Partitioning}
 
@@ -30,7 +31,7 @@ object Fig7Speedup {
       val rows = for (ell <- ells) yield {
         val tau = unionTarget / ell
         val reps = for (rep <- 1 to cfg.reps) yield {
-          val res = MROutliers.run(ds, k, z, ell, MROutliers.FixedSize(tau),
+          val res = MROutliers.run(ds, k, z, ell, CoresetSpec.FixedSize(tau),
                                    Partitioning.Random, seed = cfg.seed + 13L * rep)
           (res.round1Millis, res.round2Millis)
         }

@@ -47,16 +47,7 @@ final class BaseStream(k: Int, m: Int) {
     if (instances == null) {
       initBuf += p
       if (initBuf.length == k + 1) {
-        // r0 = half the min pairwise distance of the first k+1 points: a
-        // valid lower bound on r*_k (two of them share an optimal center).
-        var minD = Double.MaxValue
-        for (i <- initBuf.indices; j <- (i + 1) until initBuf.length) {
-          val d = Points.dist(initBuf(i), initBuf(j))
-          if (d < minD && d > 0) minD = d
-        }
-        if (minD == Double.MaxValue) minD = 1e-12 // all-duplicate prefix
-        val r0 = minD / 2.0
-        instances = Array.tabulate(m)(j => new Instance(r0 * math.pow(2.0, j.toDouble / m)))
+        instances = RadiusGuesses.staggered(initBuf, m).map(new Instance(_))
         initBuf.foreach(q => instances.foreach(_.insert(q)))
       }
       return

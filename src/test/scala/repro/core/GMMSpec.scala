@@ -81,6 +81,17 @@ class GMMSpec extends SparkSpec {
     assert(GMM.coresetBySize(pts, 50).size == 8)
   }
 
+  test("GMM stops at radius 0 instead of re-selecting a chosen point") {
+    // 50 copies each of two points: only two distinct centers exist.
+    val pts = Array.fill(50)(Array(0.0, 0.0)) ++ Array.fill(50)(Array(3.0, 4.0))
+    val tr = GMM.coresetBySize(pts, 10)
+    assert(tr.centerIdx.toSeq == Seq(0, 50))
+    assert(tr.radiusAfter.last == 0.0)
+    val w = GMM.weigh(pts, tr.centers)
+    assert(w.map(_.weight).toSeq == Seq(50L, 50L))
+    assert(w.map(_.weight).sum == pts.length.toLong)
+  }
+
   test("coresetByEpsilon meets the stopping rule r(T^tau) <= eps/2 r(T^k)") {
     TestData.forSeeds(8) { s =>
       val pts = TestData.uniform(200, 3, s)

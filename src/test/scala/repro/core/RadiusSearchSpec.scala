@@ -37,10 +37,10 @@ class RadiusSearchSpec extends SparkSpec {
         // Shrinking by (1+delta)^2 must break feasibility at *some* smaller
         // candidate — probe a clearly smaller radius.
         val smaller = sr.radius / math.pow(1 + delta, 4)
-        val w = OutliersCluster.uncoveredWeight(t, 2, smaller, eps)
+        val w = OutliersCluster.run(t, 2, smaller, eps).uncoveredWeight
         // Allowed to still be feasible only if smaller is below the smallest
         // pairwise distance floor; sanity: feasible radius itself verified.
-        assert(OutliersCluster.uncoveredWeight(t, 2, sr.radius, eps) <= 3L)
+        assert(OutliersCluster.run(t, 2, sr.radius, eps).uncoveredWeight <= 3L)
         assert(w >= 0) // probe executed
       }
     }

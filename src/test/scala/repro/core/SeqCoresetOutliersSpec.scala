@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.CoresetSpec.{FixedSize, Precision}
 import repro.{SparkSpec, TestData}
 
 class SeqCoresetOutliersSpec extends SparkSpec {
@@ -45,9 +46,19 @@ class SeqCoresetOutliersSpec extends SparkSpec {
 
   test("epsilon-driven run meets the stopping rule and covers") {
     val pts = TestData.uniform(300, 2, 3L)
-    val res = SeqCoresetOutliers.runByEpsilon(pts, 3, 5, hatEps = 0.5)
+    val res = SeqCoresetOutliers.run(pts, 3, 5, Precision(0.5, 3 + 5), hatEps = 0.5)
     assert(res.coresetSize >= 8) // at least k+z
     assert(res.centers.nonEmpty)
+  }
+
+  test("the same seed gives the same centers and radius, for each coreset spec") {
+    val pts = TestData.uniform(300, 3, 6L)
+    for (spec <- Seq(FixedSize(40), Precision(0.5, 3 + 5))) {
+      val a = SeqCoresetOutliers.run(pts, 3, 5, spec, seed = 11L)
+      val b = SeqCoresetOutliers.run(pts, 3, 5, spec, seed = 11L)
+      assert(a.centers.map(_.toSeq).toSeq == b.centers.map(_.toSeq).toSeq, s"$spec")
+      assert(a.radius == b.radius && a.coresetSize == b.coresetSize, s"$spec")
+    }
   }
 
   test("timings are recorded") {

@@ -1,9 +1,8 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{GMM, Points, WeightedPoint}
+import repro.core.{CoresetSpec, GMM, Points, WeightedPoint}
 import repro.data.DataPoint
-import repro.mr.MROutliers
 import repro.{Oracle, SparkSpec, TestData}
 
 /** Cross-checks the radius-evaluation queries against DuckDB via the Oracle:
@@ -76,7 +75,7 @@ class EvaluateSpec extends SparkSpec {
     import spark.implicits._
     val pts = TestData.uniform(500, 3, 4L)
     val coreset: Array[WeightedPoint] =
-      MROutliers.weightedPartitionCoreset(pts, MROutliers.FixedSize(25), 7L)
+      GMM.weigh(pts, GMM.coreset(pts, CoresetSpec.FixedSize(25), 7L).centers)
     val wDF = coreset.toSeq.zipWithIndex.map { case (wp, i) => (i.toLong, wp.weight) }
       .toDF("tid", "w")
     wDF.createOrReplaceTempView("coreset")

@@ -1,6 +1,7 @@
 package repro.mr
 
-import repro.core.{ExactKCenter, Points}
+import repro.core.{ExactKCenter, GMM, Points}
+import repro.core.CoresetSpec.FixedSize
 import repro.data.{DataPoint, Datasets}
 import repro.eval.Evaluate
 import repro.{SparkSpec, TestData}
@@ -35,7 +36,7 @@ class MROutliersSpec extends SparkSpec {
   test("weights of the union coreset sum to |S|") {
     val pts = TestData.uniform(900, 3, 4L)
     // Inspect round 1 directly through the kernel.
-    val w = MROutliers.weightedPartitionCoreset(pts, MROutliers.FixedSize(30), 5L)
+    val w = GMM.weigh(pts, GMM.coreset(pts, FixedSize(30), 5L).centers)
     assert(w.map(_.weight).sum == 900L)
   }
 
@@ -102,10 +103,29 @@ class MROutliersSpec extends SparkSpec {
     val ds = toDS(pts)
     val centers = pts.take(3)
     for (z <- Seq(0, 5, 20)) {
-      val viaSpark = MROutliers.radiusWithOutliers(ds, centers, z)
+      val viaSpark = Evaluate.radiusWithOutliersDS(ds, centers, z)
       val local = Points.radiusWithOutliers(pts, centers, z)
       assert(math.abs(viaSpark - local) < 1e-9, s"z=$z")
     }
+  }
+
+  test("ell > n: empty partitions contribute nothing and union weights sum to n") {
+    val pts = TestData.uniform(20, 2, 13L)
+    val ds = toDS(pts)
+    val (k, z, ell, mu, seed) = (2, 3, 32, 2, 6L)
+    val res = MROutliers.runDeterministic(ds, k, z, ell, mu, seed = seed)
+    val inSet = pts.map(_.toSeq).toSet
+    assert(res.centers.nonEmpty && res.centers.length <= k)
+    assert(res.centers.forall(c => inSet(c.toSeq)))
+    // The same round 1 that runDeterministic runs: the shared driver and kernel.
+    val (union, _) = {
+      import spark.implicits._
+      Round1.union(ds, ell, Partitioning.Arbitrary, seed) { p =>
+        GMM.weigh(p, GMM.coreset(p, FixedSize(mu * (k + z)), seed).centers)
+      }
+    }
+    assert(union.length == res.coresetUnionSize)
+    assert(union.map(_.weight).sum == 20L)
   }
 
   test("ell = 1 matches the sequential coreset algorithm's quality") {
