@@ -6,7 +6,7 @@ import repro.exp._
 /** Shared spark-submit plumbing for the figure jobs. */
 object JobSession {
   def make(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

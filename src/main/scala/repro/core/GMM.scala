@@ -85,9 +85,11 @@ object GMM {
 
   /** The round-1 kernel of every coreset pipeline: GMM on one partition,
     * stopped by `spec`. The first center is `points(floorMod(seed, n))`, so
-    * reruns are reproducible. An empty partition gives an empty trace.
+    * reruns are reproducible. An empty partition gives an empty trace. The
+    * points must share one dimension and have finite coordinates.
     */
   def coreset(points: Array[Array[Double]], spec: CoresetSpec, seed: Long): Trace = {
+    Points.requireValid(points)
     if (points.isEmpty) return Trace(points, Array.emptyIntArray, Array.emptyDoubleArray)
     val firstIdx = math.floorMod(seed, points.length.toLong).toInt
     spec match {

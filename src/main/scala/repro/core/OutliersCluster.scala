@@ -19,7 +19,11 @@ package repro.core
   *  - later iterations use lazy re-evaluation: a candidate's ball weight is
   *    non-increasing over iterations (the uncovered set only shrinks), so a
   *    max-heap of cached weights needs to refresh only entries that surface
-  *    at the top — the classic lazy-greedy argument applies verbatim.
+  *    at the top — the classic lazy-greedy argument applies verbatim;
+  *  - given a [[Neighbours]] index whose radius covers the selection ball,
+  *    a ball weight is a prefix scan of the candidate's row instead of a
+  *    distance scan over the uncovered points. Both sum the same `Long`
+  *    weights over the same points, so the result is identical.
   */
 object OutliersCluster {
 
@@ -34,7 +38,19 @@ object OutliersCluster {
       uncoveredWeight: Long,
   )
 
+  /** OUTLIERSCLUSTER(T, k, r, ε̂) by distance scans. The points must share
+    * one dimension and have finite coordinates.
+    */
   def run(t: Array[WeightedPoint], k: Int, r: Double, hatEps: Double): Result = {
+    Points.requireValid(t.map(_.vec))
+    run(t, k, r, hatEps, None)
+  }
+
+  /** [[run]] on validated input, reading ball weights from `index` when its
+    * radius covers the selection ball.
+    */
+  private[core] def run(t: Array[WeightedPoint], k: Int, r: Double, hatEps: Double,
+                        index: Option[Neighbours]): Result = {
     require(r >= 0, s"radius must be non-negative, got $r")
     require(hatEps >= 0, s"eps-hat must be non-negative, got $hatEps")
     val n = t.length
@@ -46,17 +62,29 @@ object OutliersCluster {
     val innerSq = { val d = (1.0 + 2.0 * hatEps) * r; d * d } // ball B_x
     val outerSq = { val d = (3.0 + 4.0 * hatEps) * r; d * d } // ball E_x
 
-    // Compact array of indices of currently uncovered points.
+    // Compact array of indices of currently uncovered points, and its
+    // complement as flags.
     var unc    = Array.tabulate(n)(identity)
     var uncLen = n
+    val covered = new Array[Boolean](n)
 
+    val rows = index.filter(innerSq <= _.radiusSq).orNull
     def ballWeight(cand: Int): Long = {
-      val cv = vecs(cand)
       var w = 0L
-      var ui = 0
-      while (ui < uncLen) {
-        if (Points.sqDist(cv, vecs(unc(ui))) <= innerSq) w += ws(unc(ui))
-        ui += 1
+      if (rows != null) {
+        var p = rows.rowStart(cand)
+        val end = rows.rowStart(cand + 1)
+        while (p < end && rows.sqd(p) <= innerSq) {
+          if (!covered(rows.nbr(p))) w += ws(rows.nbr(p))
+          p += 1
+        }
+      } else {
+        val cv = vecs(cand)
+        var ui = 0
+        while (ui < uncLen) {
+          if (Points.sqDist(cv, vecs(unc(ui))) <= innerSq) w += ws(unc(ui))
+          ui += 1
+        }
       }
       w
     }
@@ -96,6 +124,7 @@ object OutliersCluster {
       var ui = 0
       while (ui < uncLen) {
         if (Points.sqDist(x, vecs(unc(ui))) > outerSq) { unc(keep) = unc(ui); keep += 1 }
+        else covered(unc(ui)) = true
         ui += 1
       }
       uncLen = keep

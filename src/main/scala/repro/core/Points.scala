@@ -18,6 +18,25 @@ object Points {
     s
   }
 
+  /** Rejects a point set whose vectors differ in length or hold a NaN or
+    * infinite coordinate: [[sqDist]] reads only the first vector's length, so
+    * such input would degrade silently. O(n·d); kernel entry points call it
+    * once per call, never inside their distance loops.
+    */
+  def requireValid(vecs: Array[Array[Double]]): Unit = {
+    var i = 0
+    while (i < vecs.length) {
+      val v = vecs(i)
+      require(v.length == vecs(0).length, s"point $i has dimension ${v.length}, expected ${vecs(0).length}")
+      var j = 0
+      while (j < v.length) {
+        require(java.lang.Double.isFinite(v(j)), s"point $i has a non-finite coordinate ${v(j)}")
+        j += 1
+      }
+      i += 1
+    }
+  }
+
   /** Euclidean distance between two equal-length vectors. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
 

@@ -13,11 +13,19 @@ import scala.util.Random
   * refining geometrically inside the bracketing gap — the returned radius is
   * still within (1+δ) of the smallest feasible one, which is all Theorem 2's
   * proof uses (deviation documented in DESIGN.md §4).
+  *
+  * The probes of one search share one bounded [[Neighbours]] index over T,
+  * built before the first probe; it changes their cost, not their results.
   */
 object RadiusSearch {
 
   /** Cap on sampled candidate distances; 2·10⁵ doubles is ~1.6 MB. */
   private val MaxCandidates = 200_000
+
+  /** Cap on the entries of the neighbour index; 2²³ entries of an Int and a
+    * Double are ~100 MB.
+    */
+  private val MaxNeighbours = 1 << 23
 
   final case class SearchResult(
       radius: Double,
@@ -51,17 +59,50 @@ object RadiusSearch {
           Points.dist(vecs(i), vecs(j))
         }
       }
-    val sorted = ds.distinct.sorted
-    if (sorted.isEmpty) Array(0.0) else sorted
+    // Distances are finite and >= 0, so the IEEE order of Arrays.sort is the
+    // numeric one; dedupe in place.
+    java.util.Arrays.sort(ds)
+    var len = 0
+    var p = 0
+    while (p < ds.length) {
+      if (len == 0 || ds(p) != ds(len - 1)) { ds(len) = ds(p); len += 1 }
+      p += 1
+    }
+    if (len == 0) Array(0.0) else java.util.Arrays.copyOf(ds, len)
+  }
+
+  /** The neighbour index shared by the probes of one search. Its radius is
+    * the largest candidate c whose estimated entry count
+    * |T| + |T|(|T|−1)·(fraction of candidates ≤ c) is at most half of
+    * `maxEntries`; when all |T|² pairs fit, it holds every pair. None when
+    * not even the smallest candidate fits, or when the exact count exceeds
+    * `maxEntries`.
+    */
+  private def neighbourIndex(vecs: Array[Array[Double]], cand: Array[Double],
+                             maxEntries: Int): Option[Neighbours] = {
+    val n = vecs.length.toLong
+    if (n * n <= maxEntries / 2) return Neighbours.build(vecs, Double.PositiveInfinity, maxEntries)
+    var c = cand.length - 1
+    while (c >= 0 && n + n * (n - 1) * ((c + 1).toDouble / cand.length) > maxEntries / 2) c -= 1
+    if (c < 0) None else Neighbours.build(vecs, cand(c) * cand(c), maxEntries)
   }
 
   /** Find r̃_min and return the clustering OUTLIERSCLUSTER(T, k, r̃_min, ε̂). */
-  def search(t: Array[WeightedPoint], k: Int, z: Long, hatEps: Double, seed: Long = 42L): SearchResult = {
+  def search(t: Array[WeightedPoint], k: Int, z: Long, hatEps: Double, seed: Long = 42L): SearchResult =
+    search(t, k, z, hatEps, seed, MaxNeighbours)
+
+  /** [[search]] with an index of at most `maxNeighbours` entries (0: none). */
+  private[core] def search(t: Array[WeightedPoint], k: Int, z: Long, hatEps: Double, seed: Long,
+                           maxNeighbours: Int): SearchResult = {
     require(t.nonEmpty, "radius search needs a non-empty coreset")
+    val vecs = t.map(_.vec)
+    Points.requireValid(vecs)
+    val cand = candidateDistances(vecs, seed)
+    val index = neighbourIndex(vecs, cand, maxNeighbours)
     var probes = 0
     def feasible(r: Double): Option[OutliersCluster.Result] = {
       probes += 1
-      val res = OutliersCluster.run(t, k, r, hatEps)
+      val res = OutliersCluster.run(t, k, r, hatEps, index)
       if (res.uncoveredWeight <= z) Some(res) else None
     }
 
@@ -70,7 +111,6 @@ object RadiusSearch {
       case None       => ()
     }
 
-    val cand = candidateDistances(t.map(_.vec), seed)
     // Binary search the smallest feasible candidate. Feasibility is treated
     // as monotone in r (standard for this greedy; the geometric refinement
     // below re-verifies the returned radius).

@@ -180,16 +180,28 @@ object Datasets {
     (c, math.sqrt(worst))
   }
 
-  /** Spark version of [[mebApprox]]: two passes over the dataset. */
+  /** Spark version of [[mebApprox]]: two passes over the dataset. The
+    * per-partition sums are added in partition order, so the center is the
+    * same, bit for bit, on every run.
+    */
   def mebApproxDS(ds: Dataset[DataPoint]): (Array[Double], Double) = {
-    val (sum, n) = ds.rdd
-      .map(p => (p.vec, 1L))
-      .treeReduce { case ((a, ca), (b, cb)) =>
-        val s = a.clone()
-        var j = 0
-        while (j < s.length) { s(j) += b(j); j += 1 }
-        (s, ca + cb)
+    def addInto(s: Array[Double], v: Array[Double]): Array[Double] = {
+      var j = 0
+      while (j < s.length) { s(j) += v(j); j += 1 }
+      s
+    }
+    val parts = ds.rdd.mapPartitions { it =>
+      if (!it.hasNext) Iterator.empty
+      else {
+        val s = it.next().vec.clone()
+        var n = 1L
+        it.foreach { p => addInto(s, p.vec); n += 1 }
+        Iterator((s, n))
       }
+    }.collect()
+    require(parts.nonEmpty, "MEB of an empty set")
+    val sum = parts.map(_._1).reduceLeft(addInto)
+    val n = parts.map(_._2).sum
     val c = sum.map(_ / n)
     val worstSq = ds.rdd.map(p => Points.sqDist(p.vec, c)).max()
     (c, math.sqrt(worstSq))

@@ -157,4 +157,10 @@ class GMMSpec extends SparkSpec {
     val w = GMM.weigh(pts, core)
     assert(w.map(_.weight).toSeq == Seq(2L, 3L))
   }
+
+  test("coreset rejects mismatched dimensions and non-finite coordinates") {
+    val ok = Array(0.0, 0.0)
+    for (bad <- Seq(Array(3.0), Array(0.0, 0.0, 1.0), Array(Double.NaN, 0.0), Array(0.0, Double.PositiveInfinity)))
+      intercept[IllegalArgumentException](GMM.coreset(Array(ok, bad), CoresetSpec.FixedSize(2), 0L))
+  }
 }

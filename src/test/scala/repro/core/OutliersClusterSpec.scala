@@ -131,9 +131,49 @@ class OutliersClusterSpec extends SparkSpec {
       val t = TestData.uniform(25, 2, s).zipWithIndex.map { case (v, i) =>
         WeightedPoint(v, (i % 4) + 1L)
       }
+      val ref = naive(t, 3, 1.2, 0.15)
       val mine = OutliersCluster.run(t, 3, 1.2, 0.15).centers.map(_.toSeq).toSeq
-      assert(mine == naive(t, 3, 1.2, 0.15), s"seed=$s")
+      assert(mine == ref, s"seed=$s")
+      val index = Neighbours.build(t.map(_.vec), Double.PositiveInfinity, Int.MaxValue)
+      val viaIndex = OutliersCluster.run(t, 3, 1.2, 0.15, index).centers.map(_.toSeq).toSeq
+      assert(viaIndex == ref, s"seed=$s (index)")
     }
+  }
+
+  /** Weighted points with duplicated positions and tied weights. */
+  private def weightedWithDuplicates(s: Long): Array[WeightedPoint] = {
+    val base = TestData.uniform(30, 2, s)
+    (base ++ base.take(8) ++ base.take(3)).zipWithIndex.map { case (v, i) =>
+      WeightedPoint(v.clone(), (i % 3) + 1L)
+    }
+  }
+
+  private def sameResult(a: OutliersCluster.Result, b: OutliersCluster.Result): Boolean =
+    a.centers.map(_.toSeq).toSeq == b.centers.map(_.toSeq).toSeq &&
+      a.uncovered.map(u => (u.vec.toSeq, u.weight)).toSeq == b.uncovered.map(u => (u.vec.toSeq, u.weight)).toSeq &&
+      a.uncoveredWeight == b.uncoveredWeight
+
+  test("index path returns the same Result as the full scan, below, at and above the index radius") {
+    TestData.forSeeds(10) { s =>
+      val t = weightedWithDuplicates(s)
+      val eps = 0.1
+      val rIdx = 1.3
+      // The selection ball of a probe at rIdx is exactly the index radius.
+      val radiusSq = { val d = (1.0 + 2.0 * eps) * rIdx; d * d }
+      val index = Neighbours.build(t.map(_.vec), radiusSq, Int.MaxValue)
+      assert(index.isDefined)
+      for (k <- Seq(1, 3, 6); r <- Seq(0.0, 0.4, 1.0, rIdx, 1.31, 2.5)) {
+        val full = OutliersCluster.run(t, k, r, eps)
+        val viaIndex = OutliersCluster.run(t, k, r, eps, index)
+        assert(sameResult(full, viaIndex), s"seed=$s k=$k r=$r")
+      }
+    }
+  }
+
+  test("rejects mismatched dimensions and non-finite coordinates") {
+    val ok = WeightedPoint(Array(0.0, 0.0), 1L)
+    for (bad <- Seq(Array(3.0), Array(0.0, Double.NaN), Array(Double.PositiveInfinity, 0.0)))
+      intercept[IllegalArgumentException](OutliersCluster.run(Array(ok, WeightedPoint(bad, 1L)), 1, 1.0, 0.0))
   }
 
   test("uncovered set shrinks monotonically with r") {

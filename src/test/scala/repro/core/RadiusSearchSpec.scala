@@ -77,11 +77,14 @@ class RadiusSearchSpec extends SparkSpec {
   }
 
   test("candidateDistances on small sets is all pairwise distances") {
-    val pts = TestData.uniform(10, 2, 2L)
-    val cand = RadiusSearch.candidateDistances(pts, 1L)
-    val expected = (for (i <- pts.indices; j <- (i + 1) until pts.length)
-      yield Points.dist(pts(i), pts(j))).distinct.sorted
-    assert(cand.toSeq == expected)
+    // A grid with repeated points has many equal distances to dedupe.
+    val grid = (for (x <- 0 until 8; y <- 0 until 8) yield Array(x.toDouble, y.toDouble)).toArray
+    for (pts <- Seq(TestData.uniform(10, 2, 2L), grid ++ grid.take(5))) {
+      val cand = RadiusSearch.candidateDistances(pts, 1L)
+      val expected = (for (i <- pts.indices; j <- (i + 1) until pts.length)
+        yield Points.dist(pts(i), pts(j))).distinct.sorted
+      assert(cand.toSeq == expected)
+    }
   }
 
   test("candidateDistances samples when pairs exceed the cap") {
@@ -113,5 +116,58 @@ class RadiusSearchSpec extends SparkSpec {
     val sr = RadiusSearch.search(t, 3, 2L, 0.1)
     assert(sr.radius < 50.0, s"radius=${sr.radius}") // cluster scale, not outlier scale
     assert(Points.radiusWithOutliers(withFar, sr.clustering.centers, 2) < 20.0)
+  }
+
+  private def sameSearch(a: RadiusSearch.SearchResult, b: RadiusSearch.SearchResult): Boolean =
+    a.radius == b.radius && a.probes == b.probes &&
+      a.clustering.centers.map(_.toSeq).toSeq == b.clustering.centers.map(_.toSeq).toSeq &&
+      a.clustering.uncovered.map(u => (u.vec.toSeq, u.weight)).toSeq ==
+        b.clustering.uncovered.map(u => (u.vec.toSeq, u.weight)).toSeq &&
+      a.clustering.uncoveredWeight == b.clustering.uncoveredWeight
+
+  test("search returns the same SearchResult with no index, a partial index and a full one") {
+    TestData.forSeeds(6) { s =>
+      val base = TestData.uniform(120, 2, s)
+      val t = (base ++ base.take(10)).zipWithIndex.map { case (v, i) => WeightedPoint(v, (i % 3) + 1L) }
+      val n = t.length.toLong
+      val eps = 0.1
+      val none = RadiusSearch.search(t, 3, 12L, eps, s, maxNeighbours = 0)
+      // A cap whose index radius sits at the returned radius' selection
+      // ball: the probes above it scan, the ones below read the index.
+      val cand = RadiusSearch.candidateDistances(t.map(_.vec), s)
+      val frac = cand.count(_ <= (1 + 2 * eps) * none.radius).toDouble / cand.length
+      val atResult = (2 * (n + n * (n - 1) * frac)).toInt + 1
+      for (cap <- Seq(4 * n.toInt, atResult, (n * n / 3).toInt, 2 * (n * n).toInt))
+        assert(sameSearch(RadiusSearch.search(t, 3, 12L, eps, s, cap), none), s"seed=$s cap=$cap")
+      assert(sameSearch(RadiusSearch.search(t, 3, 12L, eps, s), none), s"seed=$s default cap")
+    }
+  }
+
+  test("search on a sampled candidate set is the same with and without the index") {
+    val t = unit(TestData.uniform(700, 3, 11L)) // 244k pairs: candidates are sampled
+    val none = RadiusSearch.search(t, 4, 20L, 0.05, 3L, maxNeighbours = 0)
+    assert(sameSearch(RadiusSearch.search(t, 4, 20L, 0.05, 3L), none))
+    assert(sameSearch(RadiusSearch.search(t, 4, 20L, 0.05, 3L, 200000), none))
+  }
+
+  test("edge cases return radius 0 with at most k centers, with and without the index") {
+    val identical = Array.fill(20)(WeightedPoint(Array(4.0, 4.0, 4.0), 3L))
+    val pts = unit(TestData.uniform(15, 2, 5L))
+    val cases = Seq(
+      ("all-identical input", identical, 1, 0L),
+      ("z >= total weight", pts, 2, 15L),
+      ("k >= |T|", pts, 15, 0L),
+      ("k > |T|", pts, 40, 0L))
+    for ((name, t, k, z) <- cases; cap <- Seq(0, 1 << 23)) {
+      val sr = RadiusSearch.search(t, k, z, 0.1, 1L, cap)
+      assert(sr.radius == 0.0, s"$name cap=$cap")
+      assert(sr.clustering.centers.length <= k && sr.clustering.uncoveredWeight <= z, s"$name cap=$cap")
+    }
+  }
+
+  test("rejects mismatched dimensions and non-finite coordinates") {
+    val ok = WeightedPoint(Array(0.0, 0.0), 1L)
+    for (bad <- Seq(Array(3.0), Array(0.0, Double.NaN), Array(Double.NegativeInfinity, 0.0)))
+      intercept[IllegalArgumentException](RadiusSearch.search(Array(ok, WeightedPoint(bad, 1L)), 1, 0L, 0.1))
   }
 }

@@ -135,6 +135,24 @@ class DatasetsSpec extends SparkSpec {
     assert(math.abs(rL - rD) < 1e-6)
   }
 
+  test("mebApproxDS sums partitions in partition order: bit-identical on every call") {
+    import spark.implicits._
+    val pts = TestData.uniform(3000, 5, 12L).map(_.map(_ * 1e3 + 0.1))
+    val ds = spark.createDataset(pts.toSeq.zipWithIndex.map { case (v, i) =>
+      DataPoint(i.toLong, v, isOutlier = false)
+    }).repartition(7).cache()
+    def add(a: Array[Double], b: Array[Double]) = a.zip(b).map { case (x, y) => x + y }
+    val parts = ds.rdd.glom().collect().filter(_.nonEmpty)
+    val sum = parts.map(_.map(_.vec).reduceLeft(add)).reduceLeft(add)
+    val c = sum.map(_ / parts.map(_.length).sum)
+    val bits = (v: Array[Double]) => v.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val (c1, r1) = Datasets.mebApproxDS(ds)
+    val (c2, r2) = Datasets.mebApproxDS(ds)
+    assert(bits(c1) == bits(c))
+    assert(bits(c2) == bits(c1) && r1 == r2)
+    ds.unpersist()
+  }
+
   test("makeOutliers places points at exactly 100*r from the center") {
     val c = Array(1.0, 2.0, 3.0)
     val outs = Datasets.makeOutliers(c, 2.0, 20, 4L)
